@@ -17,13 +17,11 @@
 //!    `t-ba+*(X, X)` → `tsmm`, and the generalized SystemDS-style
 //!    mmchain `t-ba+*(X, w ⊙ ba+*(X, v))` → `mmchain` (with or without
 //!    the weight vector);
-//! 3. **`fold-ew`** — scalar-chain folding: runs of element-wise
-//!    scalar/unary/replace nodes over federated data collapse into one
-//!    [`PlanOp::EwChain`] executed in a single federated round;
-//! 4. **`placement`** — cost-driven placement: a root-level element-wise
-//!    chain over *public* federated data moves to the coordinator when
-//!    the cost model says consolidating the input is cheaper than the
-//!    federated rounds (WAN topologies with tiny matrices).
+//! 3. **`placement`** — cost-driven placement: a root-level element-wise
+//!    op over *public* federated data moves to the coordinator as a
+//!    [`PlanOp::EwChain`] when the cost model says consolidating the
+//!    input is cheaper than the federated rounds (WAN topologies with
+//!    tiny matrices).
 //!
 //! Every rewrite is bitwise-exact by construction: rules only fire where
 //! DESIGN.md §4j proves the fused/relocated execution produces identical
@@ -37,7 +35,7 @@ use exdra_core::ElemStep;
 use exdra_matrix::kernels::elementwise::BinaryOp;
 use exdra_obs::RuleFire;
 
-use crate::plan::{EwSite, Plan, PlanNode, PlanOp};
+use crate::plan::{Plan, PlanNode, PlanOp};
 
 /// A cost model mapping plan shapes to estimated nanoseconds. Fed to
 /// [`Plan::estimate`] and to placement rules via [`RuleContext`].
@@ -53,7 +51,7 @@ pub trait CostModel: Send + Sync {
 
 /// The profile-guided default [`CostModel`]: per-opcode mean latencies
 /// from the `inst.<opcode>` histograms `exdra-obs` collects during
-/// execution (the same data `results/cost_profile.json` persists), with
+/// execution (the same data `Analysis::cost_profile_json` exports), with
 /// a work-proportional fallback for opcodes never yet observed.
 #[derive(Debug, Clone)]
 pub struct ProfileCostModel {
@@ -144,14 +142,13 @@ impl Default for Optimizer {
 }
 
 impl Optimizer {
-    /// The default pipeline: `cse`, `fuse-ops`, `fold-ew`, `placement`,
-    /// with the profile-guided cost model.
+    /// The default pipeline: `cse`, `fuse-ops`, `placement`, with the
+    /// profile-guided cost model.
     pub fn new() -> Optimizer {
         Optimizer {
             rules: vec![
                 Box::new(Cse),
                 Box::new(OperatorFusion),
-                Box::new(EwChainFold),
                 Box::new(FederatedPlacement),
             ],
             cost: Arc::new(ProfileCostModel::default()),
@@ -262,9 +259,8 @@ fn op_equivalent(a: &PlanOp, b: &PlanOp) -> bool {
             xp.to_bits() == yp.to_bits() && xr.to_bits() == yr.to_bits()
         }
         (MmChain { w_on_left: x }, MmChain { w_on_left: y }) => x == y,
-        (EwChain(xs, xw), EwChain(ys, yw)) => {
-            xw == yw
-                && xs.len() == ys.len()
+        (EwChain(xs), EwChain(ys)) => {
+            xs.len() == ys.len()
                 && xs.iter().zip(ys).all(|(p, q)| match (p, q) {
                     (
                         ElemStep::Scalar {
@@ -450,98 +446,33 @@ impl OptimizerRule for OperatorFusion {
 }
 
 // ---------------------------------------------------------------------
-// Rule 3: element-wise chain folding
+// Rule 3: cost-driven federated placement
 // ---------------------------------------------------------------------
 
-/// Folds runs of element-wise scalar/unary/replace operators over
-/// federated data into one [`PlanOp::EwChain`] executed in a single
-/// federated request round (identical per-worker instruction sequence,
-/// so bitwise-free).
-struct EwChainFold;
-
-/// The chain step an operator contributes, if it is chainable.
-fn chain_step(op: &PlanOp) -> Option<ElemStep> {
-    match op {
-        PlanOp::Scalar(op, value, swap) => {
-            // Swapped non-commutative ops other than Sub/Div have no
-            // federated execution; leave them to error identically.
-            if *swap && !op.is_commutative() && !matches!(op, BinaryOp::Sub | BinaryOp::Div) {
-                return None;
-            }
-            Some(ElemStep::Scalar {
-                op: *op,
-                value: *value,
-                swap: *swap,
-            })
-        }
-        PlanOp::Unary(op) => Some(ElemStep::Unary(*op)),
+/// The element-wise step an operator contributes when placement may
+/// move it. Swapped scalars never move: they rewrite into different
+/// instruction sequences federated vs local (and even commutative ops
+/// differ on `-0.0` bit patterns).
+fn placeable_step(op: &PlanOp) -> Option<ElemStep> {
+    match *op {
+        PlanOp::Scalar(op, value, false) => Some(ElemStep::Scalar {
+            op,
+            value,
+            swap: false,
+        }),
+        PlanOp::Unary(op) => Some(ElemStep::Unary(op)),
         PlanOp::Replace(pattern, replacement) => Some(ElemStep::Replace {
-            pattern: *pattern,
-            replacement: *replacement,
+            pattern,
+            replacement,
         }),
         _ => None,
     }
 }
 
-impl OptimizerRule for EwChainFold {
-    fn name(&self) -> &'static str {
-        "fold-ew"
-    }
-
-    fn apply(&self, plan: &Plan, _cx: &RuleContext<'_>) -> Option<(Plan, u64)> {
-        let meta = plan.meta();
-        let refs = plan.refcounts();
-        // chains[i] = (base child, steps) for chainable node i whose
-        // chain may still grow upward.
-        let mut chains: Vec<Option<(usize, Vec<ElemStep>)>> = vec![None; plan.len()];
-        let mut absorbed = vec![false; plan.len()];
-        for (i, node) in plan.nodes().iter().enumerate() {
-            let Some(step) = chain_step(&node.op) else {
-                continue;
-            };
-            let child = node.children[0];
-            // Absorb the child's chain when it is exclusively ours.
-            let (base, mut steps) = match &chains[child] {
-                Some((base, steps)) if refs[child] == 1 => (*base, steps.clone()),
-                _ => (child, Vec::new()),
-            };
-            steps.push(step);
-            if base != child {
-                absorbed[child] = true;
-            }
-            chains[i] = Some((base, steps));
-        }
-        let mut nodes = plan.nodes().to_vec();
-        let mut hits = 0u64;
-        for i in 0..nodes.len() {
-            if absorbed[i] {
-                continue;
-            }
-            if let Some((base, steps)) = &chains[i] {
-                // Only fold real runs over federated data: one federated
-                // round instead of `steps.len()` rounds.
-                let fed = meta[*base].is_some_and(|m| m.loc.is_fed());
-                if steps.len() >= 2 && fed {
-                    nodes[i].op = PlanOp::EwChain(steps.clone(), EwSite::InPlace);
-                    nodes[i].children = vec![*base];
-                    hits += 1;
-                }
-            }
-        }
-        (hits > 0).then(|| (Plan::compacted(nodes, plan.root()), hits))
-    }
-}
-
-// ---------------------------------------------------------------------
-// Rule 4: cost-driven federated placement
-// ---------------------------------------------------------------------
-
-/// Moves a root-level element-wise chain over public federated data to
-/// the coordinator when the cost model prices the consolidation below
-/// the federated rounds. Bitwise-free because per-element kernels are
-/// partition-independent — but only for `swap == false` steps: swapped
-/// scalars rewrite into different instruction sequences federated vs
-/// local (and even commutative ops differ on `-0.0` bit patterns).
+/// Moves a root-level element-wise op over public federated data to the
+/// coordinator when the cost model prices the consolidation below the
+/// federated rounds. Bitwise-free because per-element kernels are
+/// partition-independent (see [`placeable_step`]).
 struct FederatedPlacement;
 
 impl OptimizerRule for FederatedPlacement {
@@ -552,18 +483,12 @@ impl OptimizerRule for FederatedPlacement {
     fn apply(&self, plan: &Plan, cx: &RuleContext<'_>) -> Option<(Plan, u64)> {
         let root = plan.root();
         let meta = plan.meta();
-        let steps = match &plan.node(root).op {
-            PlanOp::EwChain(steps, EwSite::InPlace) => steps.clone(),
-            op => vec![chain_step(op)?],
-        };
-        // Strict gates: unswapped steps only, public sources only, and a
-        // federated input (otherwise there is nothing to move).
-        let unswapped = steps
-            .iter()
-            .all(|s| !matches!(s, ElemStep::Scalar { swap: true, .. }));
+        let step = placeable_step(&plan.node(root).op)?;
+        // Strict gates: public sources only, and a federated input
+        // (otherwise there is nothing to move).
         let base = plan.node(root).children[0];
         let fed = meta[base].is_some_and(|m| m.loc.is_fed());
-        if !unswapped || !fed || !plan.all_sources_public() {
+        if !fed || !plan.all_sources_public() {
             return None;
         }
         // Candidate: same chain, coordinator site. `compute()` would
@@ -571,7 +496,7 @@ impl OptimizerRule for FederatedPlacement {
         // result transfer for the input transfer minus federated rounds.
         let mut nodes = plan.nodes().to_vec();
         nodes[root] = PlanNode {
-            op: PlanOp::EwChain(steps, EwSite::Coordinator),
+            op: PlanOp::EwChain(vec![step]),
             children: vec![base],
         };
         let candidate = Plan::compacted(nodes, root);
@@ -721,36 +646,6 @@ mod tests {
     }
 
     #[test]
-    fn ewchain_folds_scalar_runs_over_federated_data() {
-        let (ctx, _workers) = exdra_core::testutil::mem_federation(2);
-        let x = rand_matrix(12, 4, -1.0, 1.0, 19);
-        let fed = exdra_core::FedMatrix::scatter_rows(&ctx, &x, exdra_core::PrivacyLevel::Public)
-            .unwrap();
-        let lx = Lazy::from_fed(fed);
-        let expr = lx
-            .scalar(BinaryOp::Mul, 2.0, false)
-            .scalar(BinaryOp::Add, 1.0, false)
-            .unary(UnaryOp::Abs);
-        let (optimized, fires) = optimize(&expr);
-        assert_eq!(hits(&fires, "fold-ew"), 1, "{fires:?}");
-        assert!(
-            optimized
-                .nodes()
-                .iter()
-                .any(|n| matches!(&n.op, PlanOp::EwChain(steps, _) if steps.len() == 3)),
-            "{}",
-            optimized.render()
-        );
-        let want = expr.compute().unwrap();
-        let got = optimized.compute().unwrap();
-        assert!(want
-            .values()
-            .iter()
-            .zip(got.values())
-            .all(|(a, b)| a.to_bits() == b.to_bits()));
-    }
-
-    #[test]
     fn placement_respects_privacy() {
         let (ctx, _workers) = exdra_core::testutil::mem_federation(2);
         let x = rand_matrix(6, 2, -1.0, 1.0, 20);
@@ -769,7 +664,7 @@ mod tests {
             !optimized
                 .nodes()
                 .iter()
-                .any(|n| matches!(&n.op, PlanOp::EwChain(_, EwSite::Coordinator))),
+                .any(|n| matches!(&n.op, PlanOp::EwChain(_))),
             "non-public data must not be consolidated for placement:\n{}",
             optimized.render()
         );

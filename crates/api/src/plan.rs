@@ -37,17 +37,6 @@ use exdra_obs::PlanEstimate;
 use crate::dag::{Lazy, Node};
 use crate::optimizer::CostModel;
 
-/// Where a fused element-wise chain executes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EwSite {
-    /// At the federated sites, in place: one request round per partition
-    /// for the whole chain.
-    InPlace,
-    /// At the coordinator, after consolidating the (public) input — the
-    /// cost-based placement when round trips dominate.
-    Coordinator,
-}
-
 /// A logical-plan operator. Mirrors the [`Lazy`] DAG node kinds, plus
 /// the fused operators the optimizer introduces.
 #[derive(Debug, Clone)]
@@ -92,9 +81,10 @@ pub enum PlanOp {
         /// `w` was the left operand of the fused multiply.
         w_on_left: bool,
     },
-    /// Fused element-wise chain (scalar ops, unary maps, replacements)
-    /// with a placement decision.
-    EwChain(Vec<ElemStep>, EwSite),
+    /// Element-wise chain (scalar ops, unary maps, replacements) placed
+    /// at the coordinator: the (public) input is consolidated first — the
+    /// cost-based placement when round trips dominate.
+    EwChain(Vec<ElemStep>),
 }
 
 /// One node of a [`Plan`]: an operator plus the arena indices of its
@@ -304,8 +294,8 @@ impl Plan {
                     }
                     h
                 }
-                PlanOp::EwChain(steps, site) => {
-                    let mut h = mix(seed("ewchain"), *site as u64);
+                PlanOp::EwChain(steps) => {
+                    let mut h = seed("ewchain");
                     for s in steps {
                         h = match *s {
                             ElemStep::Scalar { op, value, swap } => {
@@ -494,7 +484,7 @@ fn opcode(op: &PlanOp) -> String {
         PlanOp::Cbind => "cbind".into(),
         PlanOp::Replace(p, r) => format!("replace({p}->{r})"),
         PlanOp::MmChain { .. } => "mmchain".into(),
-        PlanOp::EwChain(steps, site) => {
+        PlanOp::EwChain(steps) => {
             let rendered: Vec<String> = steps
                 .iter()
                 .map(|s| match *s {
@@ -512,11 +502,7 @@ fn opcode(op: &PlanOp) -> String {
                     } => format!("replace({pattern}->{replacement})"),
                 })
                 .collect();
-            let site = match site {
-                EwSite::InPlace => "sites",
-                EwSite::Coordinator => "coordinator",
-            };
-            format!("ew[{}]@{site}", rendered.join(" ; "))
+            format!("ew[{}]@coordinator", rendered.join(" ; "))
         }
     }
 }
@@ -704,12 +690,9 @@ fn infer(op: &PlanOp, children: &[usize], meta: &[Option<NodeMeta>]) -> Option<N
             let x = m(0)?;
             some(x.cols, 1, Loc::Local, 0)
         }
-        PlanOp::EwChain(_, site) => {
+        PlanOp::EwChain(_) => {
             let a = m(0)?;
-            match site {
-                EwSite::InPlace => some(a.rows, a.cols, a.loc, a.parts),
-                EwSite::Coordinator => some(a.rows, a.cols, Loc::Local, 0),
-            }
+            some(a.rows, a.cols, Loc::Local, 0)
         }
     }
 }
@@ -922,7 +905,7 @@ fn estimate_node(
             }
         }
         PlanOp::Rbind => {} // federated rbind is metadata-only
-        PlanOp::EwChain(steps, site) => {
+        PlanOp::EwChain(steps) => {
             let Some(a) = m(0) else { return };
             let per_step: f64 = steps
                 .iter()
@@ -935,23 +918,11 @@ fn estimate_node(
                     cost.op_nanos(name, out.cells(), out.cells())
                 })
                 .sum();
-            match site {
-                EwSite::InPlace => {
-                    if a.loc.is_fed() {
-                        est.rounds += 1; // the whole chain in one round
-                        est.compute += per_step / sites(a.parts);
-                    } else {
-                        est.compute += per_step;
-                    }
-                }
-                EwSite::Coordinator => {
-                    if a.loc.is_fed() {
-                        est.bytes += a.cells() * B; // consolidate the input
-                        est.rounds += 1;
-                    }
-                    est.compute += per_step;
-                }
+            if a.loc.is_fed() {
+                est.bytes += a.cells() * B; // consolidate the input
+                est.rounds += 1;
             }
+            est.compute += per_step;
         }
     }
 }
@@ -1019,13 +990,7 @@ fn eval_op(op: &PlanOp, children: &[usize], vals: &[Option<Tensor>]) -> Result<T
                 }
             }
         }
-        PlanOp::EwChain(steps, site) => match site {
-            EwSite::InPlace => v(0).elementwise_chain(steps),
-            EwSite::Coordinator => {
-                let local = Tensor::Local(v(0).to_local()?);
-                local.elementwise_chain(steps)
-            }
-        },
+        PlanOp::EwChain(steps) => v(0).elementwise_chain(steps),
     }
 }
 

@@ -237,8 +237,8 @@ impl SessionBuilder {
     }
 
     /// Replaces the session's plan [`Optimizer`]. The default is
-    /// [`Optimizer::new`] — the full `cse`/`fuse-ops`/`fold-ew`/
-    /// `placement` pipeline with the profile-guided cost model. Pass
+    /// [`Optimizer::new`] — the full `cse`/`fuse-ops`/`placement`
+    /// pipeline with the profile-guided cost model. Pass
     /// [`Optimizer::disabled`] to execute plans exactly as written (the
     /// A/B baseline for benches), or an optimizer extended with custom
     /// [`crate::OptimizerRule`]s via [`Optimizer::with_rule`]. Every
@@ -586,9 +586,8 @@ impl Session {
     /// Tracing is force-enabled for the duration of the call and
     /// restored afterwards, so this works on sessions built without
     /// [`SessionBuilder::tracing`]. The per-opcode/per-worker cost
-    /// profile is also persisted to `results/cost_profile.json` — the
-    /// profile-guided input [`crate::ProfileCostModel`] draws on
-    /// (best-effort; failures to write are ignored).
+    /// profile is available from the analysis as
+    /// `Analysis::cost_profile_json`; nothing is written to disk.
     pub fn explain_analyze(&self, plan: &Lazy) -> Result<(DenseMatrix, Explain)> {
         let mut explain = self.explain(plan);
         let was_on = exdra_obs::enabled();
@@ -606,8 +605,6 @@ impl Session {
         let analysis = exdra_obs::analyze(&spans, root_id).ok_or_else(|| {
             FedError::Invalid("explain_analyze: no trace recorded for this run".into())
         })?;
-        let _ = std::fs::create_dir_all("results");
-        let _ = std::fs::write("results/cost_profile.json", analysis.cost_profile_json());
         explain.analyzed = Some(analysis);
         Ok((result, explain))
     }

@@ -7,8 +7,8 @@
 //! The generator deliberately builds the shapes the rules rewrite:
 //! duplicate independently-built subtrees (CSE), explicit
 //! transpose-matmul and the generalized mmchain pattern (fusion), runs
-//! of scalar/unary/replace steps over federated data (chain folding and
-//! cost-based placement), at several thread counts and RPC windows.
+//! of scalar/unary/replace steps over federated data (deferred dispatch
+//! and cost-based placement), at several thread counts and RPC windows.
 
 use exdra_api::{Lazy, Optimizer, Plan};
 use exdra_core::testutil::mem_federation;

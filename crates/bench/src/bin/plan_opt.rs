@@ -10,7 +10,8 @@
 //! * norm + tsmm — `t(Y) %*% Y` with `Y = X - colMeans(X)` built twice
 //!   from scratch (CSE by lineage, then tsmm fusion),
 //! * scale chain — a four-step element-wise pipeline before `colSums`
-//!   (scalar-chain folding into one request round).
+//!   (no rule fires: deferred dispatch already sends the four steps with
+//!   the `colSums` round, optimizer on or off).
 //!
 //!     cargo run --release -p exdra-bench --bin plan_opt [-- --quick]
 //!
@@ -166,7 +167,7 @@ fn main() {
         (
             "scale chain",
             Box::new(|src: &Lazy| {
-                // Four element-wise steps fold into one federated round.
+                // Four element-wise steps ride the colSums round.
                 src.scalar(BinaryOp::Mul, 2.0, false)
                     .scalar(BinaryOp::Add, 1.0, false)
                     .unary(UnaryOp::Abs)

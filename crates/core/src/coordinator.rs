@@ -176,15 +176,32 @@ impl Drop for GateGuard {
     }
 }
 
+/// One worker's requests waiting for the next round to it (see
+/// [`FedContext::defer`]).
+#[derive(Debug, Default)]
+struct Pending {
+    /// Deferred ack-only requests, in issue order.
+    requests: Vec<Request>,
+    /// Symbol IDs of dropped handles, removed by one `rmvar` placed after
+    /// the deferred requests (which may still read them).
+    garbage: Vec<u64>,
+}
+
+impl Pending {
+    fn len(&self) -> usize {
+        self.requests.len() + usize::from(!self.garbage.is_empty())
+    }
+}
+
 /// Connections to all federated workers plus ID allocation and network
 /// accounting. Shared by every federated object of one session.
 pub struct FedContext {
     workers: Vec<WorkerConn>,
     next_id: AtomicU64,
     stats: Arc<NetStats>,
-    /// Per-worker queues of symbol IDs awaiting amortized `rmvar` cleanup
-    /// (filled by dropped federated handles, drained on the next RPC).
-    garbage: Mutex<Vec<Vec<u64>>>,
+    /// Per-worker queues of deferred requests and dropped symbol IDs,
+    /// drained by the next data-path round to that worker.
+    pending: Mutex<Vec<Pending>>,
     /// Retry/deadline policy applied to every RPC.
     fault: Mutex<FaultPolicy>,
     /// Session namespace whose ID range `fresh_id` allocates from
@@ -221,7 +238,7 @@ impl FedContext {
             workers,
             next_id: AtomicU64::new(1),
             stats,
-            garbage: Mutex::new(vec![Vec::new(); n]),
+            pending: Mutex::new((0..n).map(|_| Pending::default()).collect()),
             fault: Mutex::new(FaultPolicy::default()),
             namespace: AtomicU64::new(0),
             rpc_gate: Mutex::new(None),
@@ -249,15 +266,60 @@ impl FedContext {
             workers,
             next_id: AtomicU64::new(1),
             stats,
-            garbage: Mutex::new(vec![Vec::new(); n]),
+            pending: Mutex::new((0..n).map(|_| Pending::default()).collect()),
             fault: Mutex::new(FaultPolicy::default()),
             namespace: AtomicU64::new(0),
             rpc_gate: Mutex::new(None),
         }))
     }
 
-    pub(crate) fn garbage(&self) -> &Mutex<Vec<Vec<u64>>> {
-        &self.garbage
+    /// Queues ack-only requests for `worker` instead of sending them: they
+    /// ride, in issue order, at the head of the next data-path round to
+    /// that worker ([`FedContext::call`] or [`FedContext::call_streamed`]),
+    /// and a worker-side failure among them surfaces as that round's
+    /// error.
+    pub(crate) fn defer(&self, worker: usize, requests: Vec<Request>) {
+        self.pending.lock()[worker].requests.extend(requests);
+    }
+
+    /// Queues a dropped handle's symbol for removal after the requests
+    /// deferred so far.
+    pub(crate) fn enqueue_garbage(&self, worker: usize, id: u64) {
+        self.pending.lock()[worker].garbage.push(id);
+    }
+
+    /// Number of requests the next data-path round to `worker` carries
+    /// ahead of its own batch (the garbage `rmvar` counts as one).
+    pub(crate) fn pending_len(&self, worker: usize) -> usize {
+        self.pending.lock()[worker].len()
+    }
+
+    /// Takes `worker`'s queue for the round that carries `batch`: the
+    /// deferred requests, then one `rmvar` of the dropped IDs. Empty for
+    /// a control-plane batch (see [`carries_queue`]).
+    fn drain(&self, worker: usize, batch: &[Request]) -> Vec<Request> {
+        if !carries_queue(batch) {
+            return Vec::new();
+        }
+        let Pending {
+            mut requests,
+            garbage,
+        } = std::mem::take(&mut self.pending.lock()[worker]);
+        if !garbage.is_empty() {
+            requests.push(Request::ExecInst {
+                inst: crate::instruction::Instruction::Rmvar { ids: garbage },
+            });
+        }
+        requests
+    }
+
+    /// Returns drained requests to the head of `worker`'s queue after a
+    /// round that got no answer, so they ride the next round (after
+    /// recovery, ahead of anything queued since).
+    fn undrain(&self, worker: usize, drained: Vec<Request>) {
+        if !drained.is_empty() {
+            self.pending.lock()[worker].requests.splice(0..0, drained);
+        }
     }
 
     /// The active retry/deadline policy.
@@ -367,9 +429,10 @@ impl FedContext {
 
     /// Sends one request sequence to one worker and returns its responses.
     ///
-    /// Pending garbage-collection `rmvar`s for the worker (queued by
-    /// dropped federated handles) are piggybacked onto the batch and their
-    /// response stripped — amortized cleanup, invisible to callers.
+    /// The worker's deferred requests (see [`FedContext::defer`]) travel
+    /// in the same envelope, ahead of `batch`; their acks are checked and
+    /// stripped, and the first failing one is returned as this call's
+    /// error (the worker skips the rest of the envelope after it).
     ///
     /// The RPC runs under the context's [`FaultPolicy`]: transient
     /// transport failures are retried with backoff (reconnecting first
@@ -381,15 +444,6 @@ impl FedContext {
             .workers
             .get(worker)
             .ok_or_else(|| RuntimeError::Invalid(format!("no worker {worker}")))?;
-        let garbage = self.take_garbage_ids(worker);
-        let mut full: Vec<Request> = Vec::with_capacity(batch.len() + 1);
-        if !garbage.is_empty() {
-            full.push(Request::ExecInst {
-                inst: crate::instruction::Instruction::Rmvar { ids: garbage },
-            });
-        }
-        let prepended = !full.is_empty();
-        full.extend_from_slice(batch);
 
         // Observability: one span per RPC, its context stamped onto the
         // envelope so worker-side spans join the same trace. Everything
@@ -399,51 +453,69 @@ impl FedContext {
         let mut span = exdra_obs::span(SpanKind::Rpc, "rpc.call");
         if span.is_active() {
             span.attr("worker", worker);
-            span.attr("requests", full.len());
-            span.attr("kinds", request_kinds(&full));
         }
-        let envelope = RpcEnvelope {
-            trace: span.context().into(),
-            requests: full,
-        };
-
-        let t_enc = obs_on.then(Instant::now);
-        let bytes = envelope.to_bytes();
-        let mut serde_nanos = t_enc.map_or(0, |t| t.elapsed().as_nanos() as u64);
+        let trace = span.context().into();
+        let mut serde_nanos = 0u64;
 
         let t_gate = obs_on.then(Instant::now);
-        let _credit = GateGuard::acquire(self.gate(), worker, envelope.requests.len() as u64);
+        let _credit = GateGuard::acquire(
+            self.gate(),
+            worker,
+            (self.pending_len(worker) + batch.len()) as u64,
+        );
         let gate_wait_nanos = t_gate.map_or(0, |t| t.elapsed().as_nanos() as u64);
         let policy = self.fault_policy();
         let deadline = Deadline::after(policy.rpc_deadline);
         let mut net_nanos = 0u64;
         let mut retries = 0u64;
-        let frame = policy
-            .retry
-            .run(
-                deadline,
-                |attempt| {
-                    if attempt > 0 {
-                        retries += 1;
-                        self.stats.record_retry();
-                        // A failed attempt may have left a half-written
-                        // frame on the wire: re-establish the channel
-                        // before resending when we know the endpoint.
-                        if conn.endpoint.is_some() {
-                            let _ = self.reconnect(worker);
-                        }
+        // (drained requests, encoded envelope), built on the first attempt.
+        let mut sent: Option<(Vec<Request>, Vec<u8>)> = None;
+        let frame = policy.retry.run(
+            deadline,
+            |attempt| {
+                if attempt > 0 {
+                    retries += 1;
+                    self.stats.record_retry();
+                    // A failed attempt may have left a half-written
+                    // frame on the wire: re-establish the channel
+                    // before resending when we know the endpoint.
+                    if conn.endpoint.is_some() {
+                        let _ = self.reconnect(worker);
                     }
-                    let mut ch = conn.channel.lock();
-                    let t_net = obs_on.then(Instant::now);
-                    let r = ch.send(&bytes).and_then(|()| ch.recv());
-                    if let Some(t) = t_net {
-                        net_nanos += t.elapsed().as_nanos() as u64;
-                    }
-                    r
-                },
-                classify_io,
-            )
-            .map_err(|e| rpc_failure(worker, &e))?;
+                }
+                let mut ch = conn.channel.lock();
+                // Draining under the channel lock keeps deferred requests
+                // ahead of every later round on this channel.
+                let (_, bytes) = sent.get_or_insert_with(|| {
+                    let drained = self.drain(worker, batch);
+                    let t_enc = obs_on.then(Instant::now);
+                    let requests = [drained.as_slice(), batch].concat();
+                    let bytes = RpcEnvelope { trace, requests }.to_bytes();
+                    serde_nanos += t_enc.map_or(0, |t| t.elapsed().as_nanos() as u64);
+                    (drained, bytes)
+                });
+                let t_net = obs_on.then(Instant::now);
+                let r = ch.send(bytes).and_then(|()| ch.recv());
+                if let Some(t) = t_net {
+                    net_nanos += t.elapsed().as_nanos() as u64;
+                }
+                r
+            },
+            classify_io,
+        );
+        let (drained, bytes) = sent.expect("the retry loop runs at least one attempt");
+        let requests = drained.len() + batch.len();
+        if span.is_active() {
+            span.attr("requests", requests);
+            span.attr("kinds", request_kinds(drained.iter().chain(batch)));
+        }
+        let frame = match frame {
+            Ok(frame) => frame,
+            Err(e) => {
+                self.undrain(worker, drained);
+                return Err(rpc_failure(worker, &e));
+            }
+        };
 
         let t_dec = obs_on.then(Instant::now);
         let reply = RpcReply::from_bytes(&frame)?;
@@ -454,11 +526,10 @@ impl FedContext {
             mut responses,
             footer,
         } = reply;
-        if responses.len() != envelope.requests.len() {
+        if responses.len() != requests {
             return Err(RuntimeError::Protocol(format!(
-                "worker {worker}: {} responses for {} requests",
+                "worker {worker}: {} responses for {requests} requests",
                 responses.len(),
-                envelope.requests.len()
             )));
         }
         if span.is_active() {
@@ -474,7 +545,7 @@ impl FedContext {
             exdra_obs::global().record("rpc.gate_wait", gate_wait_nanos);
             record_rpc_metrics(RpcMetrics {
                 worker,
-                requests: envelope.requests.len() as u64,
+                requests: requests as u64,
                 bytes_sent: bytes.len() as u64,
                 bytes_recv: frame.len() as u64,
                 net_nanos,
@@ -483,10 +554,9 @@ impl FedContext {
                 retries,
             });
         }
-        if prepended {
-            responses.remove(0); // the rmvar ack (rmvar cannot fail)
-        }
-        Ok(responses)
+        let own = responses.split_off(drained.len());
+        check_drained(worker, &responses)?;
+        Ok(own)
     }
 
     /// The active RPC pipelining window (see
@@ -509,9 +579,10 @@ impl FedContext {
     /// Unlike [`FedContext::call`], each request travels (and executes)
     /// as its own envelope: a failing request yields its own
     /// `Response::Error` without marking later independent requests as
-    /// skipped. The worker still serializes requests whose symbol
-    /// footprints conflict, so per-variable ordering matches the
-    /// lock-step path exactly.
+    /// skipped. The worker's deferred requests travel as one leading
+    /// envelope whose first failure is returned as this call's error. The
+    /// worker still serializes requests whose symbol footprints conflict,
+    /// so per-variable ordering matches the lock-step path exactly.
     ///
     /// Fault behavior matches [`FedContext::call`]: the whole stream runs
     /// under the context's [`FaultPolicy`] — on a transient transport
@@ -533,103 +604,106 @@ impl FedContext {
             .workers
             .get(worker)
             .ok_or_else(|| RuntimeError::Invalid(format!("no worker {worker}")))?;
-        let garbage = self.take_garbage_ids(worker);
 
         let obs_on = exdra_obs::enabled();
         let mut span = exdra_obs::span(SpanKind::Rpc, "rpc.stream");
         if span.is_active() {
             span.attr("worker", worker);
-            span.attr("requests", batch.len());
             span.attr("window", window);
-            span.attr("kinds", request_kinds(batch));
         }
         let trace = span.context().into();
-
-        // One frame per request; pending garbage rides as its own leading
-        // envelope whose reply is stripped below.
-        let skip = usize::from(!garbage.is_empty());
-        let mut frames: Vec<Vec<u8>> = Vec::with_capacity(batch.len() + skip);
-        if !garbage.is_empty() {
-            frames.push(
-                RpcEnvelope {
-                    trace,
-                    requests: vec![Request::ExecInst {
-                        inst: crate::instruction::Instruction::Rmvar { ids: garbage },
-                    }],
-                }
-                .to_bytes(),
-            );
-        }
-        let t_enc = obs_on.then(Instant::now);
-        for req in batch {
-            frames.push(
-                RpcEnvelope {
-                    trace,
-                    requests: vec![req.clone()],
-                }
-                .to_bytes(),
-            );
-        }
-        let mut serde_nanos = t_enc.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        let bytes_sent: u64 = frames.iter().map(|f| f.len() as u64 + 16).sum();
+        let mut serde_nanos = 0u64;
 
         let t_gate = obs_on.then(Instant::now);
-        let _credit = GateGuard::acquire(self.gate(), worker, frames.len() as u64);
+        let _credit = GateGuard::acquire(
+            self.gate(),
+            worker,
+            (usize::from(self.pending_len(worker) > 0) + batch.len()) as u64,
+        );
         let gate_wait_nanos = t_gate.map_or(0, |t| t.elapsed().as_nanos() as u64);
         let policy = self.fault_policy();
         let deadline = Deadline::after(policy.rpc_deadline);
         let mut net_nanos = 0u64;
         let mut retries = 0u64;
-        let stream = policy
-            .retry
-            .run(
-                deadline,
-                |attempt| {
-                    if attempt > 0 {
-                        retries += 1;
-                        self.stats.record_retry();
-                        if conn.endpoint.is_some() {
-                            let _ = self.reconnect(worker);
-                        }
+        // (drained requests, one frame per envelope), built on the first
+        // attempt under the channel lock like `call`'s envelope.
+        let mut sent: Option<(Vec<Request>, Vec<Vec<u8>>)> = None;
+        let stream = policy.retry.run(
+            deadline,
+            |attempt| {
+                if attempt > 0 {
+                    retries += 1;
+                    self.stats.record_retry();
+                    if conn.endpoint.is_some() {
+                        let _ = self.reconnect(worker);
                     }
-                    let mut ch = conn.channel.lock();
-                    let t_net = obs_on.then(Instant::now);
-                    let r = stream_window(&mut ch, &frames, window, &self.stats);
-                    if let Some(t) = t_net {
-                        net_nanos += t.elapsed().as_nanos() as u64;
-                    }
-                    r
-                },
-                classify_io,
-            )
-            .map_err(|e| rpc_failure(worker, &e))?;
+                }
+                let mut ch = conn.channel.lock();
+                let (_, frames) = sent.get_or_insert_with(|| {
+                    let drained = self.drain(worker, batch);
+                    let t_enc = obs_on.then(Instant::now);
+                    let lead = (!drained.is_empty()).then(|| drained.clone());
+                    let frames = lead
+                        .into_iter()
+                        .chain(batch.iter().map(|req| vec![req.clone()]))
+                        .map(|requests| RpcEnvelope { trace, requests }.to_bytes())
+                        .collect();
+                    serde_nanos += t_enc.map_or(0, |t| t.elapsed().as_nanos() as u64);
+                    (drained, frames)
+                });
+                let t_net = obs_on.then(Instant::now);
+                let r = stream_window(&mut ch, frames, window, &self.stats);
+                if let Some(t) = t_net {
+                    net_nanos += t.elapsed().as_nanos() as u64;
+                }
+                r
+            },
+            classify_io,
+        );
+        let (drained, frames) = sent.expect("the retry loop runs at least one attempt");
+        if span.is_active() {
+            span.attr("requests", drained.len() + batch.len());
+            span.attr("kinds", request_kinds(drained.iter().chain(batch)));
+        }
         let StreamOutcome {
-            mut replies,
+            replies,
             out_of_order,
             max_inflight,
-        } = stream;
+        } = match stream {
+            Ok(stream) => stream,
+            Err(e) => {
+                self.undrain(worker, drained);
+                return Err(rpc_failure(worker, &e));
+            }
+        };
 
         let t_dec = obs_on.then(Instant::now);
+        let lead = usize::from(!drained.is_empty());
         let mut exec_nanos = 0u64;
         let mut bytes_recv = 0u64;
+        let mut acks = Vec::with_capacity(drained.len());
         let mut responses = Vec::with_capacity(batch.len());
-        for (i, frame) in replies.drain(..).enumerate() {
+        for (i, frame) in replies.into_iter().enumerate() {
             bytes_recv += frame.len() as u64;
             let reply = RpcReply::from_bytes(&frame)?;
             exec_nanos += reply.footer.exec_nanos;
+            let (want, out) = if i < lead {
+                (drained.len(), &mut acks)
+            } else {
+                (1, &mut responses)
+            };
             let n = reply.responses.len();
-            if n != 1 {
+            if n != want {
                 return Err(RuntimeError::Protocol(format!(
-                    "worker {worker}: {n} responses for 1 streamed request"
+                    "worker {worker}: {n} responses for {want} streamed requests"
                 )));
             }
-            if i >= skip {
-                responses.extend(reply.responses);
-            }
+            out.extend(reply.responses);
         }
         if let Some(t) = t_dec {
             serde_nanos += t.elapsed().as_nanos() as u64;
         }
+        let bytes_sent: u64 = frames.iter().map(|f| f.len() as u64 + 16).sum();
         if span.is_active() {
             span.attr("bytes_sent", bytes_sent);
             span.attr("bytes_recv", bytes_recv);
@@ -660,6 +734,7 @@ impl FedContext {
             reg.record("rpc.window", window as u64);
             reg.record("net.inflight", max_inflight);
         }
+        check_drained(worker, &acks)?;
         Ok(responses)
     }
 
@@ -694,14 +769,6 @@ impl FedContext {
             other => Err(RuntimeError::Protocol(format!(
                 "worker {worker}: heartbeat answered with {other:?}"
             ))),
-        }
-    }
-
-    fn take_garbage_ids(&self, worker: usize) -> Vec<u64> {
-        let mut q = self.garbage.lock();
-        match q.get_mut(worker) {
-            Some(v) => std::mem::take(v),
-            None => Vec::new(),
         }
     }
 
@@ -793,8 +860,12 @@ impl FedContext {
         self.call_all(vec![batch.to_vec(); self.workers.len()])
     }
 
-    /// Drops all state at every worker (`CLEAR`).
+    /// Drops all state at every worker (`CLEAR`), discarding the deferred
+    /// requests and garbage queued for them.
     pub fn clear_all(&self) -> Result<()> {
+        for p in self.pending.lock().iter_mut() {
+            *p = Pending::default();
+        }
         for responses in self.broadcast(&[Request::Clear])? {
             expect_ok(&responses[0], 0)?;
         }
@@ -858,27 +929,44 @@ fn stream_window(
     })
 }
 
+/// Whether a round carrying `batch` also carries the worker's queue.
+/// Control-plane batches never do: a checkpoint must not run queued ops,
+/// a restore (and a speculation replica's restore-led batch) must precede
+/// them, and a heartbeat never touches the symbol table.
+fn carries_queue(batch: &[Request]) -> bool {
+    !matches!(
+        batch.first(),
+        Some(Request::Checkpoint { .. } | Request::Restore { .. } | Request::Heartbeat)
+    )
+}
+
+/// Surfaces the first failure among a round's drained-request acks as
+/// that round's typed error.
+fn check_drained(worker: usize, acks: &[Response]) -> Result<()> {
+    acks.iter().try_for_each(|r| expect_ok(r, worker))
+}
+
 /// Comma-joined request-kind summary for span attributes, with runs of
 /// equal kinds collapsed (`PUT x128` instead of 128 entries).
-fn request_kinds(batch: &[Request]) -> String {
-    let mut out = String::new();
-    let mut i = 0;
-    while i < batch.len() {
-        let kind = batch[i].kind();
-        let mut run = 1;
-        while i + run < batch.len() && batch[i + run].kind() == kind {
-            run += 1;
+fn request_kinds<'a>(batch: impl IntoIterator<Item = &'a Request>) -> String {
+    let mut runs: Vec<(&str, usize)> = Vec::new();
+    for req in batch {
+        match runs.last_mut() {
+            Some((kind, run)) if *kind == req.kind() => *run += 1,
+            _ => runs.push((req.kind(), 1)),
         }
-        if !out.is_empty() {
-            out.push(',');
-        }
-        out.push_str(kind);
-        if run > 1 {
-            out.push_str(&format!(" x{run}"));
-        }
-        i += run;
     }
-    out
+    let rendered: Vec<String> = runs
+        .into_iter()
+        .map(|(kind, run)| {
+            if run > 1 {
+                format!("{kind} x{run}")
+            } else {
+                kind.to_string()
+            }
+        })
+        .collect();
+    rendered.join(",")
 }
 
 struct RpcMetrics {
@@ -1127,12 +1215,123 @@ mod tests {
 }
 
 #[cfg(test)]
-mod garbage_tests {
+mod deferred_tests {
     use super::*;
-    use crate::fed::FedMatrix;
+    use crate::fed::{FedMatrix, FedPartition, PartitionScheme};
     use crate::privacy::PrivacyLevel;
     use crate::testutil::mem_federation;
+    use exdra_matrix::kernels::elementwise::{BinaryOp, UnaryOp};
     use exdra_matrix::rng::rand_matrix;
+
+    #[test]
+    fn failing_deferred_op_surfaces_at_the_next_data_call() {
+        let (ctx, _workers) = mem_federation(2);
+        let x = rand_matrix(20, 3, 0.0, 1.0, 3);
+        let fed = FedMatrix::scatter_rows(&ctx, &x, PrivacyLevel::Public).unwrap();
+        // A handle naming a symbol worker 1 never held: its op queues...
+        let ghost = FedMatrix::from_parts(
+            Arc::clone(&ctx),
+            PartitionScheme::Row,
+            10,
+            3,
+            vec![FedPartition {
+                lo: 0,
+                hi: 10,
+                worker: 1,
+                id: 4242,
+            }],
+            PrivacyLevel::Public,
+            false,
+        )
+        .unwrap();
+        let _bad = ghost.unary(UnaryOp::Abs).unwrap();
+        assert_eq!(ctx.pending_len(1), 1);
+        // ...and fails, typed, at the next call that returns data.
+        let err = fed.consolidate().unwrap_err();
+        assert!(
+            matches!(err, RuntimeError::Worker { worker: 1, .. }),
+            "{err:?}"
+        );
+        assert_eq!((ctx.pending_len(0), ctx.pending_len(1)), (0, 0));
+        // Reported once: the federation keeps working.
+        assert_eq!(fed.consolidate().unwrap().max_abs_diff(&x), 0.0);
+    }
+
+    #[test]
+    fn dropped_input_is_removed_only_after_its_queued_consumer_ran() {
+        let (ctx, workers) = mem_federation(2);
+        let x = rand_matrix(20, 3, -1.0, 1.0, 4);
+        let fed = FedMatrix::scatter_rows(&ctx, &x, PrivacyLevel::Public).unwrap();
+        let ids: Vec<(usize, u64)> = fed.parts().iter().map(|p| (p.worker, p.id)).collect();
+        let abs = fed.unary(UnaryOp::Abs).unwrap();
+        // The queued unary still reads the dropped partitions.
+        drop(fed);
+        let got = abs.consolidate().unwrap();
+        assert_eq!(got.max_abs_diff(&x.map(f64::abs)), 0.0);
+        for (w, id) in ids {
+            assert!(!workers[w].table().contains(id), "worker {w} id {id}");
+        }
+    }
+
+    #[test]
+    fn checkpoint_and_restore_leave_the_queue_untouched() {
+        let (ctx, workers) = mem_federation(1);
+        let x = rand_matrix(10, 2, -1.0, 1.0, 5);
+        let fed = FedMatrix::scatter_rows(&ctx, &x, PrivacyLevel::Public).unwrap();
+        let neg = fed.scalar_op(BinaryOp::Mul, -1.0, false).unwrap();
+        let neg_id = neg.parts()[0].id;
+        let queued = ctx.pending_len(0);
+        assert!(queued > 0);
+        let rs = ctx
+            .call(0, &[Request::Checkpoint { since_seq: 0 }])
+            .unwrap();
+        let [Response::Checkpoint(delta)] = rs.as_slice() else {
+            panic!("{rs:?}")
+        };
+        assert!(delta.entries.iter().all(|e| e.id != neg_id));
+        assert_eq!(ctx.pending_len(0), queued);
+        let rs = ctx
+            .call(
+                0,
+                &[Request::Restore {
+                    entries: delta.entries.clone(),
+                }],
+            )
+            .unwrap();
+        assert_eq!(rs, vec![Response::Ok]);
+        assert_eq!(ctx.pending_len(0), queued);
+        assert!(!workers[0].table().contains(neg_id), "no queued op ran");
+        let got = neg.consolidate().unwrap();
+        assert_eq!(got.max_abs_diff(&x.map(|v| -v)), 0.0);
+    }
+
+    #[test]
+    fn lockstep_and_streamed_calls_agree_with_a_queue() {
+        let (ctx, _workers) = mem_federation(1);
+        let x = rand_matrix(12, 3, -1.0, 1.0, 6);
+        let fed = FedMatrix::scatter_rows(&ctx, &x, PrivacyLevel::Public).unwrap();
+        let run = |call: &dyn Fn(&[Request]) -> Result<Vec<Response>>| {
+            let y = fed.scalar_op(BinaryOp::Add, 1.0, false).unwrap();
+            let z = y.unary(UnaryOp::Exp).unwrap();
+            drop(y);
+            assert!(ctx.pending_len(0) > 1);
+            let batch = [
+                Request::Get {
+                    id: z.parts()[0].id,
+                },
+                Request::Get {
+                    id: fed.parts()[0].id,
+                },
+            ];
+            let rs = call(&batch).unwrap();
+            assert_eq!(ctx.pending_len(0), 0);
+            rs
+        };
+        let lockstep = run(&|b| ctx.call(0, b));
+        let streamed = run(&|b| ctx.call_streamed(0, b, 8));
+        assert_eq!(lockstep.len(), 2);
+        assert_eq!(lockstep, streamed);
+    }
 
     #[test]
     fn dropped_handles_clean_up_via_any_call() {
@@ -1156,7 +1355,7 @@ mod garbage_tests {
                     }],
                 )
                 .unwrap();
-            // The piggybacked rmvar response is stripped: one response per
+            // The carried rmvar's ack is stripped: one response per
             // caller-visible request.
             assert_eq!(rs.len(), 1);
         }

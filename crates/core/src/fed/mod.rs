@@ -12,8 +12,6 @@
 
 pub mod incremental;
 pub mod ops;
-
-pub use ops::ElemStep;
 pub mod prep;
 
 use std::sync::Arc;
@@ -63,8 +61,8 @@ impl FedPartition {
 }
 
 /// Owns the worker-side symbols of one federated object; when the last
-/// handle drops, the IDs are queued for amortized `rmvar` cleanup at the
-/// next RPC to each worker.
+/// handle drops, the IDs are queued for one `rmvar` after the requests
+/// already deferred to each worker (see [`FedContext::defer`]).
 #[derive(Debug)]
 pub(crate) struct PartsGuard {
     ctx: Arc<FedContext>,
@@ -87,15 +85,6 @@ impl Drop for PartsGuard {
                 self.ctx.enqueue_garbage(*worker, *id);
             }
         }
-    }
-}
-
-/// Garbage queues live on the context and are drained by
-/// [`FedContext::call`]. (Separate impl block keeps `coordinator.rs`
-/// transport-only.)
-impl FedContext {
-    pub(crate) fn enqueue_garbage(&self, worker: usize, id: u64) {
-        self.garbage().lock()[worker].push(id);
     }
 }
 
@@ -465,7 +454,6 @@ impl FedMatrix {
             offsets.push((p.worker, batches[p.worker].len(), batch.len()));
             batches[p.worker].extend(batch);
         }
-        // Garbage cleanup is piggybacked transparently by `FedContext::call`.
         let all = self.ctx.call_all(batches)?;
         let mut out = Vec::with_capacity(self.parts.len());
         for (w, off, len) in offsets {
@@ -476,6 +464,16 @@ impl FedMatrix {
             out.push(rs[off..off + len].to_vec());
         }
         Ok(out)
+    }
+
+    /// Queues one ack-only request sequence per partition for deferred
+    /// dispatch (see [`FedContext::defer`]): ops whose output stays at the
+    /// sites ride the next round that returns data, and a worker-side
+    /// failure surfaces there.
+    pub(crate) fn defer_per_part(&self, mut make: impl FnMut(&FedPartition) -> Vec<Request>) {
+        for p in &self.parts {
+            self.ctx.defer(p.worker, make(p));
+        }
     }
 
     /// Transfers and consolidates the federated data into a local matrix —

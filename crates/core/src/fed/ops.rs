@@ -5,7 +5,10 @@
 //! partition range), *local execution* per partition via `EXEC_INST`, and
 //! *aggregation* of partial results at the coordinator. Where no
 //! aggregation is needed the output is itself federated data with a
-//! "logical rbind" federation map (paper Example 2).
+//! "logical rbind" federation map (paper Example 2). Such ops return only
+//! acks, so they queue their requests instead of sending them
+//! (`FedMatrix::defer_per_part`): the requests ride the next round to each
+//! worker that returns data, and a worker-side failure surfaces there.
 
 use std::collections::HashSet;
 
@@ -22,30 +25,6 @@ use crate::protocol::Request;
 use crate::value::DataValue;
 
 use super::{FedMatrix, FedPartition, PartitionScheme};
-
-/// One step of a fused element-wise chain: a matrix-scalar op, a unary
-/// map, or a value replacement. See [`FedMatrix::elementwise_chain`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ElemStep {
-    /// `x op value` (`swap` computes `value op x`).
-    Scalar {
-        /// Binary operator.
-        op: BinaryOp,
-        /// Literal scalar operand.
-        value: f64,
-        /// Scalar on the left.
-        swap: bool,
-    },
-    /// Element-wise unary map.
-    Unary(UnaryOp),
-    /// Value replacement (pattern may be NaN).
-    Replace {
-        /// Value to replace.
-        pattern: f64,
-        /// Replacement value.
-        replacement: f64,
-    },
-}
 
 impl FedMatrix {
     // --- broadcast helpers -------------------------------------------------
@@ -92,7 +71,7 @@ impl FedMatrix {
                 let (parts, _) = self.fresh_like(self.rows(), rhs.cols());
                 let mut sent: HashSet<usize> = HashSet::new();
                 let mut i = 0usize;
-                self.per_part(|p| {
+                self.defer_per_part(|p| {
                     let mut batch = Vec::new();
                     if sent.insert(p.worker) {
                         batch.push(Request::Put {
@@ -110,7 +89,7 @@ impl FedMatrix {
                     });
                     i += 1;
                     batch
-                })?;
+                });
                 self.retire_broadcast(rhs_id);
                 Ok(crate::tensor::Tensor::Fed(self.sibling(
                     self.rows(),
@@ -223,7 +202,7 @@ impl FedMatrix {
                 let (parts, _) = self.fresh_like(lhs.rows(), self.cols());
                 let mut sent: HashSet<usize> = HashSet::new();
                 let mut i = 0usize;
-                self.per_part(|p| {
+                self.defer_per_part(|p| {
                     let mut batch = Vec::new();
                     if sent.insert(p.worker) {
                         batch.push(Request::Put {
@@ -241,7 +220,7 @@ impl FedMatrix {
                     });
                     i += 1;
                     batch
-                })?;
+                });
                 self.retire_broadcast(lhs_id);
                 Ok(crate::tensor::Tensor::Fed(self.sibling(
                     lhs.rows(),
@@ -422,7 +401,7 @@ impl FedMatrix {
     pub fn unary(&self, op: UnaryOp) -> Result<FedMatrix> {
         let (parts, _) = self.fresh_like(self.rows(), self.cols());
         let mut i = 0usize;
-        self.per_part(|p| {
+        self.defer_per_part(|p| {
             let inst = Instruction::Unary {
                 x: p.id,
                 op,
@@ -430,7 +409,7 @@ impl FedMatrix {
             };
             i += 1;
             vec![Request::ExecInst { inst }]
-        })?;
+        });
         self.sibling(self.rows(), self.cols(), parts, self.privacy())
     }
 
@@ -443,14 +422,14 @@ impl FedMatrix {
         }
         let (parts, _) = self.fresh_like(self.rows(), self.cols());
         let mut i = 0usize;
-        self.per_part(|p| {
+        self.defer_per_part(|p| {
             let inst = Instruction::Softmax {
                 x: p.id,
                 out: parts[i].id,
             };
             i += 1;
             vec![Request::ExecInst { inst }]
-        })?;
+        });
         self.sibling(self.rows(), self.cols(), parts, self.privacy())
     }
 
@@ -458,7 +437,7 @@ impl FedMatrix {
     pub fn scalar_op(&self, op: BinaryOp, value: f64, swap: bool) -> Result<FedMatrix> {
         let (parts, _) = self.fresh_like(self.rows(), self.cols());
         let mut i = 0usize;
-        self.per_part(|p| {
+        self.defer_per_part(|p| {
             let inst = Instruction::Scalar {
                 x: p.id,
                 op,
@@ -468,139 +447,7 @@ impl FedMatrix {
             };
             i += 1;
             vec![Request::ExecInst { inst }]
-        })?;
-        self.sibling(self.rows(), self.cols(), parts, self.privacy())
-    }
-
-    /// Executes a fused chain of element-wise steps in **one** request
-    /// round per partition instead of one round per step — the wire-level
-    /// payoff of scalar-chain folding in the plan optimizer.
-    ///
-    /// Each partition receives exactly the instruction sequence the
-    /// unfused per-step path would have issued (including the federated
-    /// rewrites for swapped non-commutative scalars: `s - X = -(X - s)`,
-    /// `s / X = s * X^-1`), so results are bitwise identical to applying
-    /// the steps one [`FedMatrix::scalar_op`]/[`FedMatrix::unary`]/
-    /// [`FedMatrix::replace`] call at a time.
-    pub fn elementwise_chain(&self, steps: &[ElemStep]) -> Result<FedMatrix> {
-        if steps.is_empty() {
-            return Err(RuntimeError::Invalid(
-                "elementwise_chain: empty step list".into(),
-            ));
-        }
-        // Validate up front (the per-partition closure is infallible),
-        // mirroring the unfused `Tensor::scalar_op` federated rewrite.
-        for s in steps {
-            if let ElemStep::Scalar { op, swap: true, .. } = s {
-                if !op.is_commutative() && !matches!(op, BinaryOp::Sub | BinaryOp::Div) {
-                    return Err(RuntimeError::Unsupported(format!(
-                        "swapped scalar {} on federated data",
-                        op.name()
-                    )));
-                }
-            }
-        }
-        let (parts, _) = self.fresh_like(self.rows(), self.cols());
-        let mut i = 0usize;
-        self.per_part(|p| {
-            let out = parts[i].id;
-            i += 1;
-            let mut insts: Vec<Instruction> = Vec::with_capacity(steps.len() + 1);
-            let mut temps: Vec<u64> = Vec::new();
-            let mut cur = p.id;
-            let last = steps.len() - 1;
-            for (k, step) in steps.iter().enumerate() {
-                let step_out = if k == last {
-                    out
-                } else {
-                    let t = self.ctx().fresh_id();
-                    temps.push(t);
-                    t
-                };
-                match *step {
-                    ElemStep::Scalar { op, value, swap } => {
-                        let swap_rewrite = swap && matches!(op, BinaryOp::Sub | BinaryOp::Div);
-                        if swap_rewrite {
-                            let t = self.ctx().fresh_id();
-                            temps.push(t);
-                            match op {
-                                BinaryOp::Sub => {
-                                    // s - X = -(X - s): two non-swapped scalars.
-                                    insts.push(Instruction::Scalar {
-                                        x: cur,
-                                        op: BinaryOp::Sub,
-                                        value,
-                                        swap: false,
-                                        out: t,
-                                    });
-                                    insts.push(Instruction::Scalar {
-                                        x: t,
-                                        op: BinaryOp::Mul,
-                                        value: -1.0,
-                                        swap: false,
-                                        out: step_out,
-                                    });
-                                }
-                                _ => {
-                                    // s / X = s * X^-1.
-                                    insts.push(Instruction::Scalar {
-                                        x: cur,
-                                        op: BinaryOp::Pow,
-                                        value: -1.0,
-                                        swap: false,
-                                        out: t,
-                                    });
-                                    insts.push(Instruction::Scalar {
-                                        x: t,
-                                        op: BinaryOp::Mul,
-                                        value,
-                                        swap: false,
-                                        out: step_out,
-                                    });
-                                }
-                            }
-                        } else {
-                            // Commutative swaps execute non-swapped, exactly
-                            // like the unfused path: `Tensor::scalar_op`
-                            // rewrites them to `swap: false` before they
-                            // reach a federated partition.
-                            insts.push(Instruction::Scalar {
-                                x: cur,
-                                op,
-                                value,
-                                swap: false,
-                                out: step_out,
-                            });
-                        }
-                    }
-                    ElemStep::Unary(op) => insts.push(Instruction::Unary {
-                        x: cur,
-                        op,
-                        out: step_out,
-                    }),
-                    ElemStep::Replace {
-                        pattern,
-                        replacement,
-                    } => insts.push(Instruction::Replace {
-                        x: cur,
-                        pattern,
-                        replacement,
-                        out: step_out,
-                    }),
-                }
-                cur = step_out;
-            }
-            let mut reqs: Vec<Request> = insts
-                .into_iter()
-                .map(|inst| Request::ExecInst { inst })
-                .collect();
-            if !temps.is_empty() {
-                reqs.push(Request::ExecInst {
-                    inst: Instruction::Rmvar { ids: temps.clone() },
-                });
-            }
-            reqs
-        })?;
+        });
         self.sibling(self.rows(), self.cols(), parts, self.privacy())
     }
 
@@ -633,7 +480,7 @@ impl FedMatrix {
         let other_parts: Vec<FedPartition> = other.parts().to_vec();
         let (parts, _) = self.fresh_like(self.rows(), self.cols());
         let mut i = 0usize;
-        self.per_part(|p| {
+        self.defer_per_part(|p| {
             let inst = Instruction::Binary {
                 lhs: p.id,
                 rhs: other_parts[i].id,
@@ -642,7 +489,7 @@ impl FedMatrix {
             };
             i += 1;
             vec![Request::ExecInst { inst }]
-        })?;
+        });
         self.sibling(
             self.rows(),
             self.cols(),
@@ -702,7 +549,7 @@ impl FedMatrix {
         }
         let (parts, _) = self.fresh_like(self.rows(), self.cols());
         let mut i = 0usize;
-        self.per_part(|_p| {
+        self.defer_per_part(|_p| {
             let rhs_id = self.ctx().fresh_id();
             let batch = vec![
                 Request::Put {
@@ -724,7 +571,7 @@ impl FedMatrix {
             ];
             i += 1;
             batch
-        })?;
+        });
         self.sibling(self.rows(), self.cols(), parts, self.privacy())
     }
 
@@ -745,7 +592,7 @@ impl FedMatrix {
             };
             let (parts, _) = self.fresh_like(rows, cols);
             let mut i = 0usize;
-            self.per_part(|p| {
+            self.defer_per_part(|p| {
                 let inst = Instruction::Agg {
                     x: p.id,
                     op,
@@ -754,7 +601,7 @@ impl FedMatrix {
                 };
                 i += 1;
                 vec![Request::ExecInst { inst }]
-            })?;
+            });
             return Ok(crate::tensor::Tensor::Fed(self.sibling(
                 rows,
                 cols,
@@ -866,7 +713,7 @@ impl FedMatrix {
         }
         let (parts, _) = self.fresh_like(self.rows(), 1);
         let mut i = 0usize;
-        self.per_part(|p| {
+        self.defer_per_part(|p| {
             let inst = if max {
                 Instruction::RowIndexMax {
                     x: p.id,
@@ -880,7 +727,7 @@ impl FedMatrix {
             };
             i += 1;
             vec![Request::ExecInst { inst }]
-        })?;
+        });
         self.sibling(self.rows(), 1, parts, self.privacy())
     }
 
@@ -901,14 +748,14 @@ impl FedMatrix {
             });
         }
         let mut i = 0usize;
-        self.per_part(|p| {
+        self.defer_per_part(|p| {
             let inst = Instruction::Transpose {
                 x: p.id,
                 out: parts[i].id,
             };
             i += 1;
             vec![Request::ExecInst { inst }]
-        })?;
+        });
         FedMatrix::from_parts(
             std::sync::Arc::clone(self.ctx()),
             flipped,
@@ -956,26 +803,22 @@ impl FedMatrix {
                 work.push((i, lo - p.lo, hi - p.lo));
             }
         }
-        // Issue Index instructions only on overlapping partitions.
-        let mut batches = vec![Vec::new(); self.ctx().num_workers()];
+        // Index instructions only on overlapping partitions, deferred.
         for (np, (src, lo, hi)) in new_parts.iter().zip(&work) {
             let p = &self.parts()[*src];
-            batches[p.worker].push(Request::ExecInst {
-                inst: Instruction::Index {
-                    x: p.id,
-                    row_lo: *lo as u64,
-                    row_hi: *hi as u64,
-                    col_lo: col_lo as u64,
-                    col_hi: col_hi as u64,
-                    out: np.id,
-                },
-            });
-        }
-        let responses = self.ctx().call_all(batches)?;
-        for (w, rs) in responses.iter().enumerate() {
-            for r in rs {
-                crate::coordinator::expect_ok(r, w)?;
-            }
+            self.ctx().defer(
+                p.worker,
+                vec![Request::ExecInst {
+                    inst: Instruction::Index {
+                        x: p.id,
+                        row_lo: *lo as u64,
+                        row_hi: *hi as u64,
+                        col_lo: col_lo as u64,
+                        col_hi: col_hi as u64,
+                        out: np.id,
+                    },
+                }],
+            );
         }
         FedMatrix::from_parts(
             std::sync::Arc::clone(self.ctx()),
@@ -1037,7 +880,7 @@ impl FedMatrix {
         let other_parts: Vec<FedPartition> = other.parts().to_vec();
         let (parts, _) = self.fresh_like(self.rows(), self.cols() + other.cols());
         let mut i = 0usize;
-        self.per_part(|p| {
+        self.defer_per_part(|p| {
             let inst = Instruction::Cbind {
                 a: p.id,
                 b: other_parts[i].id,
@@ -1045,7 +888,7 @@ impl FedMatrix {
             };
             i += 1;
             vec![Request::ExecInst { inst }]
-        })?;
+        });
         self.sibling(
             self.rows(),
             self.cols() + other.cols(),
@@ -1058,7 +901,7 @@ impl FedMatrix {
     pub fn replace(&self, pattern: f64, replacement: f64) -> Result<FedMatrix> {
         let (parts, _) = self.fresh_like(self.rows(), self.cols());
         let mut i = 0usize;
-        self.per_part(|p| {
+        self.defer_per_part(|p| {
             let inst = Instruction::Replace {
                 x: p.id,
                 pattern,
@@ -1067,7 +910,7 @@ impl FedMatrix {
             };
             i += 1;
             vec![Request::ExecInst { inst }]
-        })?;
+        });
         self.sibling(self.rows(), self.cols(), parts, self.privacy())
     }
 }

@@ -664,8 +664,10 @@ impl Supervisor {
                         responses
                     });
                     // The replica's copies of the straggler's symbols are
-                    // scratch state: queue them for amortized rmvar.
-                    sup.ctx.garbage().lock()[replica].extend(ids);
+                    // scratch state: queue them for removal.
+                    for id in ids {
+                        sup.ctx.enqueue_garbage(replica, id);
+                    }
                     let _ = tx.send((false, r));
                 })
                 .expect("spawn speculative rpc thread");
@@ -980,8 +982,11 @@ mod tests {
             other => panic!("expected data, got {other:?}"),
         }
         // The replica executed with restored scratch state, now queued
-        // for amortized cleanup.
-        assert!(ctx.garbage().lock()[1].contains(&21));
+        // for removal by the next round to it.
+        assert!(fast.table().contains(21));
+        assert_eq!(ctx.pending_len(1), 1);
+        ctx.call(1, &[]).unwrap();
+        assert!(!fast.table().contains(21));
     }
 
     #[test]

@@ -22,6 +22,30 @@ use exdra_matrix::DenseMatrix;
 use crate::error::{Result, RuntimeError};
 use crate::fed::{FedMatrix, PartitionScheme};
 
+/// One step of a fused element-wise chain: a matrix-scalar op, a unary
+/// map, or a value replacement. See [`Tensor::elementwise_chain`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ElemStep {
+    /// `x op value` (`swap` computes `value op x`).
+    Scalar {
+        /// Binary operator.
+        op: BinaryOp,
+        /// Literal scalar operand.
+        value: f64,
+        /// Scalar on the left.
+        swap: bool,
+    },
+    /// Element-wise unary map.
+    Unary(UnaryOp),
+    /// Value replacement (pattern may be NaN).
+    Replace {
+        /// Value to replace.
+        pattern: f64,
+        /// Replacement value.
+        replacement: f64,
+    },
+}
+
 /// A matrix that is local, federated, or compressed-local.
 #[derive(Debug, Clone)]
 pub enum Tensor {
@@ -263,14 +287,12 @@ impl Tensor {
         }
     }
 
-    /// Applies a fused chain of element-wise steps. Local inputs run the
-    /// per-step kernels sequentially (identical to applying each step
-    /// through [`Tensor::scalar_op`]/[`Tensor::unary`]/[`Tensor::replace`]);
-    /// federated inputs execute the whole chain in **one** request round
-    /// per partition via [`FedMatrix::elementwise_chain`], with bitwise
-    /// identical results either way.
-    pub fn elementwise_chain(&self, steps: &[crate::fed::ElemStep]) -> Result<Tensor> {
-        use crate::fed::ElemStep;
+    /// Applies a fused chain of element-wise steps at the coordinator.
+    /// Local inputs run the per-step kernels sequentially (identical to
+    /// applying each step through [`Tensor::scalar_op`]/[`Tensor::unary`]/
+    /// [`Tensor::replace`]); federated inputs are consolidated first,
+    /// subject to their privacy constraint.
+    pub fn elementwise_chain(&self, steps: &[ElemStep]) -> Result<Tensor> {
         if steps.is_empty() {
             return Err(RuntimeError::Invalid(
                 "elementwise_chain: empty step list".into(),
@@ -293,7 +315,7 @@ impl Tensor {
                 }
                 Ok(Tensor::Local(cur))
             }
-            Tensor::Fed(f) => Ok(Tensor::Fed(f.elementwise_chain(steps)?)),
+            Tensor::Fed(f) => Tensor::Local(f.consolidate()?).elementwise_chain(steps),
             Tensor::Compressed(c) => {
                 // The whole chain folds over each distinct value once —
                 // per cell this is exactly the sequential step application

@@ -7,7 +7,9 @@
 //! *receive* path of a channel: a pump thread timestamps each message's
 //! real arrival and withholds it until link transfer plus one-way latency
 //! have elapsed, so pipelined messages overlap their latencies exactly as
-//! they would on a real link. Sleeps are real wall-clock time so
+//! they would on a real link. The send path is not shaped, so a round
+//! trip pays one one-way latency and uploads take no link time (see
+//! [`crate::transport::ShapedChannel`]). Sleeps are real wall-clock time so
 //! end-to-end runtimes reflect the same costs the paper measures; a
 //! `scale` factor lets the harness shrink them proportionally for fast
 //! runs.
@@ -54,7 +56,12 @@ impl NetProfile {
         }
     }
 
-    /// Custom profile from round-trip latency and bandwidth in MB/s.
+    /// Custom profile from round-trip latency and bandwidth in MB/s,
+    /// stored as a one-way latency of `rtt_ms / 2`. A [`ShapedChannel`]
+    /// applies it to inbound messages only, so a shaped coordinator's
+    /// round trip pays `rtt_ms / 2`, not `rtt_ms`.
+    ///
+    /// [`ShapedChannel`]: crate::transport::ShapedChannel
     pub fn custom(rtt_ms: f64, mbps: f64) -> Self {
         Self {
             one_way_latency_ms: rtt_ms / 2.0,

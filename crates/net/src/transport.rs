@@ -485,6 +485,12 @@ impl RecvHalf for EncryptedRecvHalf {
 /// lands. Channels that refuse to split fall back to a synchronous model
 /// that is exact for lock-step traffic and merely pessimistic for
 /// pipelined traffic.
+///
+/// Only the inbound direction is shaped; `send` passes straight through.
+/// Around a coordinator's channel (as `WorkerEndpoint` builds it), replies
+/// pay latency plus transfer time but requests reach the worker
+/// unshaped: a lock-step round trip costs one one-way latency (half the
+/// profile's RTT), and uploads take no simulated link time.
 pub struct ShapedChannel {
     profile: NetProfile,
     mode: ShapedMode,

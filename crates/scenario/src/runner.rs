@@ -12,6 +12,7 @@
 //! declared invariant into a [`ScenarioReport`].
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -271,10 +272,14 @@ fn execute(sc: &Scenario, tag: &str) -> Result<ExecOutcome> {
     }
 
     // --- Continuous pipelines and trainer, all seeded from the master. ---
+    // The run counter keeps concurrent runs of one scenario and seed in
+    // one process out of each other's sink directories.
+    static RUNS: AtomicU64 = AtomicU64::new(0);
     let dir = std::env::temp_dir().join("exdra_scenarios").join(format!(
-        "{}-{}-{}-{tag}",
+        "{}-{}-{}-{}-{tag}",
         sc.name,
         std::process::id(),
+        RUNS.fetch_add(1, Ordering::Relaxed),
         sc.master_seed
     ));
     let mut pipelines = Vec::with_capacity(wl.sites);

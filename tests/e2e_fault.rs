@@ -64,10 +64,15 @@ fn killed_worker_mid_matmul_is_typed_worker_dead_mem() {
     let fed = FedMatrix::scatter_rows(&ctx, &x, PrivacyLevel::Public).unwrap();
     let rhs = exdra::matrix::rng::rand_matrix(6, 3, -1.0, 1.0, 12);
     // Healthy matmul first.
-    fed.matmul_rhs_local(&rhs).expect("healthy matmul");
+    fed.matmul_rhs_local(&rhs)
+        .and_then(|t| t.to_local())
+        .expect("healthy matmul");
     // Kill worker 1, then the same matmul must fail *typed*, not hang.
+    // The matmul's output stays at the sites, so its dispatch is deferred
+    // and the failure surfaces at the first call that returns data.
     workers[1].shutdown();
-    let err = fed.matmul_rhs_local(&rhs).unwrap_err();
+    let out = fed.matmul_rhs_local(&rhs).expect("deferred matmul");
+    let err = out.to_local().unwrap_err();
     assert!(
         matches!(err, RuntimeError::WorkerDead { worker: 1, .. }),
         "expected WorkerDead for worker 1, got {err:?}"
@@ -81,9 +86,12 @@ fn killed_worker_mid_matmul_is_typed_worker_dead_tcp() {
     let x = exdra::matrix::rng::rand_matrix(40, 6, -1.0, 1.0, 13);
     let fed = FedMatrix::scatter_rows(&ctx, &x, PrivacyLevel::Public).unwrap();
     let rhs = exdra::matrix::rng::rand_matrix(6, 3, -1.0, 1.0, 14);
-    fed.matmul_rhs_local(&rhs).expect("healthy matmul");
+    fed.matmul_rhs_local(&rhs)
+        .and_then(|t| t.to_local())
+        .expect("healthy matmul");
     workers[0].shutdown();
-    let err = fed.matmul_rhs_local(&rhs).unwrap_err();
+    let out = fed.matmul_rhs_local(&rhs).expect("deferred matmul");
+    let err = out.to_local().unwrap_err();
     assert!(
         matches!(err, RuntimeError::WorkerDead { worker: 0, .. }),
         "expected WorkerDead for worker 0, got {err:?}"

@@ -142,3 +142,51 @@ fn many_workers_partition_fairly() {
     let back = fed.consolidate().unwrap();
     assert!(back.max_abs_diff(&x) < 1e-15);
 }
+
+/// Messages `train` sends on `ctx`: every lock-step call sends exactly
+/// one message to its worker.
+fn messages_sent(ctx: &exdra::FedContext, train: impl FnOnce()) -> u64 {
+    let before = ctx.stats().snapshot();
+    train();
+    ctx.stats().snapshot().delta(&before).messages_sent
+}
+
+#[test]
+fn deferred_dispatch_round_counts_per_iteration() {
+    // Ops whose output stays at the sites ride the next round that returns
+    // data, so an iteration costs exactly its data-returning rounds, each
+    // one message to each of the two workers.
+    let (ctx, _workers) = exdra::core::testutil::mem_federation(2);
+    let (x, _) = synth::blobs(120, 3, 4, 0.5, 71);
+    let fed = Tensor::Fed(FedMatrix::scatter_rows(&ctx, &x, PrivacyLevel::Public).unwrap());
+    let kmeans_messages = |max_iter| {
+        let params = kmeans::KMeansParams {
+            k: 3,
+            max_iter,
+            runs: 1,
+            tol: 0.0,
+            seed: 5,
+        };
+        messages_sent(&ctx, || {
+            kmeans::kmeans(&fed, &params).unwrap();
+        })
+    };
+    let init = kmeans_messages(0);
+    // K-Means: sum(P ⊙ D), colSums(P) and t(P) %*% X per Lloyd step.
+    assert_eq!(kmeans_messages(1), init + 3 * 2);
+
+    let (x, y) = synth::two_class(100, 4, 0.05, 72);
+    let fed = Tensor::Fed(FedMatrix::scatter_rows(&ctx, &x, PrivacyLevel::Public).unwrap());
+    let l2svm_messages = |max_iter| {
+        let params = l2svm::L2SvmParams {
+            max_iter,
+            ..l2svm::L2SvmParams::default()
+        };
+        messages_sent(&ctx, || {
+            l2svm::l2svm(&fed, &y, &params).unwrap();
+        })
+    };
+    let init = l2svm_messages(0);
+    // L2SVM: X %*% s and t(X) %*% out per outer iteration.
+    assert_eq!(l2svm_messages(1), init + 2 * 2);
+}
